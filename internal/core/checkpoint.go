@@ -66,9 +66,11 @@ func uMix(seed, seq uint64) uint64 {
 // ReplayLog is the ftopt-style upstream backup on the ingest edge: one
 // append-only ring per reshuffler source ring, holding every accepted
 // input item until a checkpoint covering it commits durably. Appends
-// happen under the same per-ring mutex as the ring send, so log order
-// equals consumption order and a reshuffler's consumed-count at its
-// barrier is exactly a log prefix length.
+// happen under the same per-ring mutex as the ring send, and before
+// it, so log order equals consumption order, a reshuffler's
+// consumed-count at its barrier is exactly a log prefix length, and no
+// item is copied from an envelope the reshuffler may already have
+// recycled.
 type ReplayLog struct {
 	rings []replayRing
 }
@@ -79,6 +81,22 @@ type replayRing struct {
 	// newest durable checkpoint.
 	base  int64
 	items []sourceItem
+}
+
+// log appends env's items, returning the ring's previous length for
+// unlog. The caller holds rg.mu and has not yet sent env: once sent,
+// the envelope belongs to the reshuffler, which recycles it.
+func (rg *replayRing) log(env []sourceItem) int {
+	n := len(rg.items)
+	rg.items = append(rg.items, env...)
+	return n
+}
+
+// unlog drops the items appended since the log call that returned n,
+// after their send failed. The caller holds rg.mu.
+func (rg *replayRing) unlog(n int) {
+	clear(rg.items[n:])
+	rg.items = rg.items[:n]
 }
 
 func newReplayLog(numRings int) *ReplayLog {

@@ -962,11 +962,14 @@ func (op *Operator) SendBatch(ts []join.Tuple) error {
 // is the stop cause: the context's error after cancellation, or the
 // first task failure.
 //
-// With a replay log, the ring's log mutex spans both the ring send and
-// the log append: sends to one ring serialize on it, so the log's item
-// order is exactly the reshuffler's consumption order and the
-// consumed counter is a valid log cut. Items are logged if and only if
-// the send succeeded — a caller whose Send errored knows its tuples
+// With a replay log, the ring's log mutex spans both the log append
+// and the ring send: sends to one ring serialize on it, so the log's
+// item order is exactly the reshuffler's consumption order and the
+// consumed counter is a valid log cut. The items are copied into the
+// log before the send, because the moment the envelope is in the ring
+// a reshuffler on another core may consume and recycle it; a failed
+// send truncates the log back. Items are therefore logged if and only
+// if the send succeeded — a caller whose Send errored knows its tuples
 // are not covered by any future checkpoint and must re-send them after
 // a restore.
 func (op *Operator) push(d int, env []sourceItem) error {
@@ -982,11 +985,12 @@ func (op *Operator) push(d int, env []sourceItem) error {
 	rg := &op.replay.rings[d]
 	rg.mu.Lock()
 	defer rg.mu.Unlock()
+	logged := rg.log(env)
 	select {
 	case op.sources[d] <- env:
-		rg.items = append(rg.items, env...)
 		return nil
 	case <-op.stop:
+		rg.unlog(logged)
 		putItems(env)
 		return op.runner.Err()
 	}
@@ -1007,11 +1011,12 @@ func (op *Operator) trySend(d int, env []sourceItem) bool {
 	rg := &op.replay.rings[d]
 	rg.mu.Lock()
 	defer rg.mu.Unlock()
+	logged := rg.log(env)
 	select {
 	case op.sources[d] <- env:
-		rg.items = append(rg.items, env...)
 		return true
 	default:
+		rg.unlog(logged)
 		return false
 	}
 }

@@ -14,9 +14,11 @@ import "repro/internal/matrix"
 //     forces the payload column into existence, so the garbage
 //     collector skips stored state instead of scanning a slice header
 //     per tuple, and
-//   - batch probes can gather match offsets from the directory first
-//     and materialize result pairs in a tight second loop, rather than
-//     interleaving hash walks with full-tuple copies.
+//   - batch probes can gather match offsets from the index first and
+//     materialize result pairs in a tight second loop, rather than
+//     interleaving directory or tree walks with full-tuple copies.
+//     Both the hash and the ordered index gather into probeHit
+//     scratch and hand it to the one materializer below.
 //
 // Growth appends a fresh block — stored tuples are never relocated —
 // and an arena offset encodes its block and position explicitly
@@ -242,4 +244,90 @@ func (a *tupleArena) adopt(o *tupleArena) int {
 	a.n += o.n
 	*o = tupleArena{}
 	return base
+}
+
+// probeHit is one gathered batch-probe candidate: which probe tuple of
+// the run hit, the arena offset of the stored tuple it hit, and the
+// stored tuple's packed meta word. An index's gather pass (the hash
+// directory walk, or the B-tree range walk) produces these;
+// tupleArena.materialize consumes them in a tight second loop.
+// Capturing meta during gather touches the hit's block early: the load
+// pulls it into cache while later probes are still walking the index,
+// so materialization's column reads overlap with the gather instead of
+// serializing behind it — and the captured word lets materialize
+// reject dummy hits before touching the arena at all.
+type probeHit struct {
+	probe int32
+	off   int32
+	meta  uint64
+}
+
+// maxHitsCap bounds the gathered-hit scratch capacity an index retains
+// between batch probes, so one high-fanout run does not become a
+// permanent memory tax.
+const maxHitsCap = 1 << 15
+
+// recycleHits returns hits emptied for the next batch probe, dropping
+// it instead when a high-fanout run grew it past maxHitsCap.
+func recycleHits(hits []probeHit) []probeHit {
+	if cap(hits) > maxHitsCap {
+		return nil
+	}
+	return hits[:0]
+}
+
+// materialize turns gathered hits into oriented pairs appended to *out:
+// the second phase of every indexed batch probe. Hits arrive grouped
+// by probe (gather appends one probe's hits contiguously), so the probe
+// tuple loads once per group, not per hit. Each candidate is
+// materialized straight into its output Pair slot (truncated again if
+// the predicate rejects it) instead of passing 72-byte tuples through
+// an intermediate copy chain.
+//
+// Dummy padding tuples never match, so dummy probes and dummy hits
+// (known from the meta word captured at gather time) are skipped
+// without reading the arena. exact reports that the index already
+// guarantees the whole predicate apart from the dummy flags — the hash
+// directory's equal keys, or the B-tree's band walk, with no Residual
+// — so Matches is skipped too.
+func (a *tupleArena) materialize(ps []Tuple, hits []probeHit, rel matrix.Side, p Predicate, exact bool, out *[]Pair) {
+	buf := *out
+	for i := 0; i < len(hits); {
+		pi := hits[i].probe
+		j := i + 1
+		for j < len(hits) && hits[j].probe == pi {
+			j++
+		}
+		probe := &ps[pi]
+		if probe.Dummy {
+			i = j
+			continue
+		}
+		for k := i; k < j; k++ {
+			if metaDummy(hits[k].meta) {
+				continue
+			}
+			n := len(buf)
+			if n < cap(buf) {
+				buf = buf[:n+1] // stale contents are fully overwritten
+			} else {
+				buf = append(buf, Pair{})
+			}
+			pr := &buf[n]
+			var stored *Tuple
+			if rel == matrix.SideR {
+				pr.R = *probe
+				stored = &pr.S
+			} else {
+				pr.S = *probe
+				stored = &pr.R
+			}
+			a.atIntoMeta(hits[k].off, hits[k].meta, stored)
+			if !exact && !p.Matches(pr.R, pr.S) {
+				buf = buf[:n]
+			}
+		}
+		i = j
+	}
+	*out = buf
 }

@@ -7,30 +7,39 @@ import "repro/internal/matrix"
 // for band joins", §5). A B-tree is used instead of a binary tree for
 // cache friendliness; the interface contract is identical.
 //
-// Tuples live in the shared columnar arena; tree nodes hold only
-// 12-byte (key, arena offset) items, so node splits and insertion
-// shifts move a sixth of the bytes the old tuple-bearing nodes did,
-// and range scans materialize full tuples only for keys inside the
-// probed band.
+// Tuples live in the shared columnar arena. A tree node holds only
+// two parallel columns — the sorted keys and the arena offsets of the
+// tuples they belong to — so the binary searches of a descent read a
+// dense int64 array, and node splits and insertion shifts move 12
+// bytes per entry instead of a whole tuple.
+//
+// Batch probes run in the same two phases as the hash index's: a
+// gather pass walks the tree once per probe over [k-width, k+width],
+// collecting (probe, arena offset, meta) hits into a per-index
+// scratch, and the arena's materializer then writes every candidate
+// straight into its output Pair slot. The range walk already enforces
+// the band, so a residual-free band predicate reaches materialization
+// with only the dummy flags left to check.
 type OrderedIndex struct {
 	width int64
 	root  *btreeNode
 	arena tupleArena
 	bytes int64
+	hits  []probeHit // batch-probe gather scratch
 }
 
-const btreeDegree = 32 // max children; max keys = 2*degree - 1
+const (
+	btreeDegree  = 32                // max children
+	btreeMaxKeys = 2*btreeDegree - 1 // keys in a full node
+)
 
-// ordItem is one B-tree entry: the sort key and the arena offset of
-// the stored tuple.
-type ordItem struct {
-	key int64
-	off int32
-}
-
+// btreeNode is one tree node. keys is sorted, equal keys in insertion
+// order; offs[i] is the arena offset of the tuple keyed keys[i].
+// Internal nodes have len(children) == len(keys)+1.
 type btreeNode struct {
-	items    []ordItem    // sorted by key (stable by insertion among equals)
-	children []*btreeNode // len(children) == len(items)+1 for internal nodes
+	keys     []int64
+	offs     []int32
+	children []*btreeNode
 }
 
 func (n *btreeNode) leaf() bool { return len(n.children) == 0 }
@@ -47,16 +56,44 @@ func (o *OrderedIndex) Len() int { return o.arena.n }
 // Bytes returns the accounted stored volume.
 func (o *OrderedIndex) Bytes() int64 { return o.bytes }
 
-// Insert stores t, keeping keys ordered.
+// Insert stores t, keeping keys ordered. The descent splits every full
+// node it meets before entering it, so the leaf it ends at has room.
+// Among equal keys the new entry goes after all existing ones, which
+// keeps duplicates in insertion order.
 func (o *OrderedIndex) Insert(t Tuple) {
 	o.bytes += t.Bytes()
 	off := o.arena.append(&t)
-	if len(o.root.items) == 2*btreeDegree-1 {
+	if len(o.root.keys) == btreeMaxKeys {
 		old := o.root
 		o.root = &btreeNode{children: []*btreeNode{old}}
 		o.root.splitChild(0)
 	}
-	o.root.insertNonFull(ordItem{key: t.Key, off: off})
+	key := t.Key
+	n := o.root
+	for !n.leaf() {
+		i := upperBound(n.keys, key)
+		if len(n.children[i].keys) == btreeMaxKeys {
+			n.splitChild(i)
+			// The lifted median was inserted before t; an equal key
+			// must land to its right.
+			if key >= n.keys[i] {
+				i++
+			}
+		}
+		n = n.children[i]
+	}
+	i := upperBound(n.keys, key)
+	n.keys = insertAt(n.keys, i, key)
+	n.offs = insertAt(n.offs, i, off)
+}
+
+// insertAt inserts v at index i of s.
+func insertAt[T any](s []T, i int, v T) []T {
+	var zero T
+	s = append(s, zero)
+	copy(s[i+1:], s[i:])
+	s[i] = v
+	return s
 }
 
 // InsertBatch stores every tuple of ts. Tree insertion cost is
@@ -71,56 +108,34 @@ func (o *OrderedIndex) InsertBatch(ts []Tuple) {
 // nodes grow on demand.
 func (o *OrderedIndex) Reserve(n int) { o.arena.reserve(n) }
 
-// splitChild splits the full child at index i, lifting its median item
-// into n.
+// splitChild splits the full child at index i, lifting its median
+// entry into n.
 func (n *btreeNode) splitChild(i int) {
 	child := n.children[i]
 	mid := btreeDegree - 1
-	median := child.items[mid]
 
-	right := &btreeNode{}
-	right.items = append(right.items, child.items[mid+1:]...)
-	child.items = child.items[:mid]
+	right := &btreeNode{
+		keys: append([]int64(nil), child.keys[mid+1:]...),
+		offs: append([]int32(nil), child.offs[mid+1:]...),
+	}
 	if !child.leaf() {
 		right.children = append(right.children, child.children[mid+1:]...)
 		child.children = child.children[:mid+1]
 	}
-
-	n.items = append(n.items, ordItem{})
-	copy(n.items[i+1:], n.items[i:])
-	n.items[i] = median
-
-	n.children = append(n.children, nil)
-	copy(n.children[i+2:], n.children[i+1:])
-	n.children[i+1] = right
-}
-
-func (n *btreeNode) insertNonFull(it ordItem) {
-	// Find the rightmost position among equal keys so insertion order
-	// is preserved for duplicates.
-	i := upperBound(n.items, it.key)
-	if n.leaf() {
-		n.items = append(n.items, ordItem{})
-		copy(n.items[i+1:], n.items[i:])
-		n.items[i] = it
-		return
-	}
-	if len(n.children[i].items) == 2*btreeDegree-1 {
-		n.splitChild(i)
-		if it.key > n.items[i].key {
-			i++
-		}
-	}
-	n.children[i].insertNonFull(it)
+	n.keys = insertAt(n.keys, i, child.keys[mid])
+	n.offs = insertAt(n.offs, i, child.offs[mid])
+	n.children = insertAt(n.children, i+1, right)
+	child.keys = child.keys[:mid]
+	child.offs = child.offs[:mid]
 }
 
 // upperBound returns the first index whose key is strictly greater
 // than k.
-func upperBound(items []ordItem, k int64) int {
-	lo, hi := 0, len(items)
+func upperBound(keys []int64, k int64) int {
+	lo, hi := 0, len(keys)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if items[mid].key <= k {
+		if keys[mid] <= k {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -130,11 +145,11 @@ func upperBound(items []ordItem, k int64) int {
 }
 
 // lowerBound returns the first index whose key is >= k.
-func lowerBound(items []ordItem, k int64) int {
-	lo, hi := 0, len(items)
+func lowerBound(keys []int64, k int64) int {
+	lo, hi := 0, len(keys)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if items[mid].key < k {
+		if keys[mid] < k {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -143,58 +158,78 @@ func lowerBound(items []ordItem, k int64) int {
 	return lo
 }
 
-// Probe enumerates stored tuples with Key in [probe.Key-width,
-// probe.Key+width].
-func (o *OrderedIndex) Probe(probe Tuple, fn func(Tuple)) {
-	lo := probe.Key - o.width
-	hi := probe.Key + o.width
-	o.rangeScan(o.root, lo, hi, fn)
+// gather appends a hit for every entry under n with key in [lo, hi],
+// in key order, tagged with the probe index and the stored tuple's
+// meta word (see probeHit for why the gather pass reads the arena
+// early).
+func (o *OrderedIndex) gather(n *btreeNode, lo, hi int64, probe int32, hits []probeHit) []probeHit {
+	keys := n.keys
+	offs := n.offs[:len(keys)]
+	i := lowerBound(keys, lo)
+	if n.leaf() {
+		for ; i < len(keys) && keys[i] <= hi; i++ {
+			hits = append(hits, probeHit{probe: probe, off: offs[i], meta: o.arena.metaAt(offs[i])})
+		}
+		return hits
+	}
+	for ; i < len(keys) && keys[i] <= hi; i++ {
+		hits = o.gather(n.children[i], lo, hi, probe, hits)
+		hits = append(hits, probeHit{probe: probe, off: offs[i], meta: o.arena.metaAt(offs[i])})
+	}
+	return o.gather(n.children[i], lo, hi, probe, hits)
 }
 
-// rangeScan walks the subtree under n, materializing every tuple with
-// key in [lo, hi] from the arena.
-func (o *OrderedIndex) rangeScan(n *btreeNode, lo, hi int64, fn func(Tuple)) {
-	i := lowerBound(n.items, lo)
-	if n.leaf() {
-		for ; i < len(n.items) && n.items[i].key <= hi; i++ {
-			fn(o.arena.at(n.items[i].off))
-		}
-		return
+// Probe enumerates stored tuples with Key in [probe.Key-width,
+// probe.Key+width], in key order. The scratch is detached while fn
+// runs, so fn may probe the index again.
+func (o *OrderedIndex) Probe(probe Tuple, fn func(Tuple)) {
+	hits := o.gather(o.root, probe.Key-o.width, probe.Key+o.width, 0, o.hits[:0])
+	o.hits = nil
+	for i := range hits {
+		fn(o.arena.at(hits[i].off))
 	}
-	for ; i < len(n.items) && n.items[i].key <= hi; i++ {
-		o.rangeScan(n.children[i], lo, hi, fn)
-		fn(o.arena.at(n.items[i].off))
-	}
-	o.rangeScan(n.children[i], lo, hi, fn)
+	o.hits = recycleHits(hits)
 }
 
 // ProbeBatchCollect probes every tuple of ps in order, appending
-// oriented predicate-passing pairs to *out. One relay closure serves
-// the whole batch; match filtering and pair construction happen in the
-// shared collectPair helper.
+// oriented predicate-passing pairs to *out. The gather pass walks the
+// tree for each probe's band; the arena then materializes the hits in
+// one tight loop. The scratch is flushed through the materializer
+// whenever it reaches maxHitsCap, so a high-fanout run never holds
+// more than one cap (plus one probe's band) of hits at once.
 func (o *OrderedIndex) ProbeBatchCollect(ps []Tuple, rel matrix.Side, p Predicate, out *[]Pair) {
-	var probe Tuple
-	relay := func(t Tuple) { collectPair(probe, t, rel, p, out) }
-	for i := range ps {
-		probe = ps[i]
-		o.rangeScan(o.root, probe.Key-o.width, probe.Key+o.width, relay)
+	if o.arena.n == 0 {
+		return
 	}
+	// The range walk enforces exactly |r.Key-s.Key| <= width.
+	exact := p.Kind == Band && p.Width == o.width && p.Residual == nil
+	hits := o.hits[:0]
+	for i := range ps {
+		k := ps[i].Key
+		hits = o.gather(o.root, k-o.width, k+o.width, int32(i), hits)
+		if len(hits) >= maxHitsCap {
+			o.arena.materialize(ps, hits, rel, p, exact, out)
+			hits = hits[:0]
+		}
+	}
+	o.arena.materialize(ps, hits, rel, p, exact, out)
+	o.hits = recycleHits(hits)
 }
 
 // Scan visits all stored tuples in key order.
 func (o *OrderedIndex) Scan(fn func(Tuple) bool) { o.treeScan(o.root, fn) }
 
 func (o *OrderedIndex) treeScan(n *btreeNode, fn func(Tuple) bool) bool {
-	for i, it := range n.items {
+	for i, off := range n.offs {
 		if !n.leaf() && !o.treeScan(n.children[i], fn) {
 			return false
 		}
-		if !fn(o.arena.at(it.off)) {
+		if !fn(o.arena.at(off)) {
 			return false
 		}
 	}
 	if !n.leaf() {
-		return o.treeScan(n.children[len(n.items)], fn)
+		return o.treeScan(n.children[len(n.offs)], fn)
 	}
 	return true
 }

@@ -43,9 +43,11 @@ type Index interface {
 }
 
 // collectPair appends probe⋈stored to *out when the pair passes the
-// predicate, orienting the Pair by the probe's relation. It is shared
-// by every index's ProbeBatchCollect so the match test stays a single
-// inlinable call rather than a per-match closure.
+// predicate, orienting the Pair by the probe's relation. ScanIndex
+// tests every stored tuple this way; the hash and ordered indexes
+// instead gather bounded hit lists and build pairs in
+// tupleArena.materialize, since a full scan per probe has no bounded
+// hit list to gather.
 func collectPair(probe, stored Tuple, rel matrix.Side, p Predicate, out *[]Pair) {
 	if rel == matrix.SideR {
 		if p.Matches(probe, stored) {
@@ -87,27 +89,6 @@ type hslot struct {
 	spill  int32 // index into HashIndex.spill; -1 when inline only
 	inline [inlineOffsets]int32
 }
-
-// probeHit is one gathered batch-probe candidate: which probe tuple of
-// the run hit, the arena offset of the stored tuple it hit, and the
-// stored tuple's packed meta word. Directory walking
-// (ProbeBatchCollect's first loop) produces these; pair materialization
-// consumes them in a tight second loop. Capturing meta during gather is
-// the arena-side analogue of the stride-8 directory touch: the load
-// pulls the hit's block into cache while later probes are still walking
-// the directory, so materialization's column reads overlap with the
-// gather instead of serializing behind it — and the captured word lets
-// materialize reject dummy hits before touching the arena at all.
-type probeHit struct {
-	probe int32
-	off   int32
-	meta  uint64
-}
-
-// maxHitsCap bounds the gathered-hit scratch capacity an index retains
-// between batch probes, so one high-fanout run does not become a
-// permanent memory tax.
-const maxHitsCap = 1 << 15
 
 // HashIndex is a multimap from join key to tuples, the storage half of
 // a symmetric hash join [42]. Tuples live in the columnar arena; the
@@ -399,70 +380,6 @@ func (h *HashIndex) gather(s *hslot, probe int32, hits []probeHit) []probeHit {
 	return hits
 }
 
-// materialize runs the gathered hits through the predicate, appending
-// passing pairs to *out: the tight second loop of the batch probe,
-// touching the arena columns only after all directory walking is done.
-// Hits arrive grouped by probe (gather appends one probe's offsets
-// contiguously), so the probe tuple loads once per group, not per hit;
-// each candidate is materialized straight into the output Pair slot
-// (truncated again if the predicate rejects it) instead of passing
-// 72-byte tuples through an intermediate copy chain. A plain equi
-// predicate short-circuits entirely: the directory already guarantees
-// key equality, leaving only the dummy flags to check.
-func (h *HashIndex) materialize(ps []Tuple, hits []probeHit, rel matrix.Side, p Predicate, out *[]Pair) {
-	plainEqui := p.Kind == Equi && p.Residual == nil
-	buf := *out
-	for i := 0; i < len(hits); {
-		pi := hits[i].probe
-		j := i + 1
-		for j < len(hits) && hits[j].probe == pi {
-			j++
-		}
-		probe := &ps[pi]
-		if plainEqui && probe.Dummy {
-			// The whole group is rejected without reading the arena.
-			i = j
-			continue
-		}
-		for k := i; k < j; k++ {
-			if plainEqui && metaDummy(hits[k].meta) {
-				// Rejected from the meta word captured at gather time:
-				// a dummy hit never costs a materialization.
-				continue
-			}
-			n := len(buf)
-			if n < cap(buf) {
-				buf = buf[:n+1] // stale contents are fully overwritten
-			} else {
-				buf = append(buf, Pair{})
-			}
-			pr := &buf[n]
-			var stored *Tuple
-			if rel == matrix.SideR {
-				pr.R = *probe
-				stored = &pr.S
-			} else {
-				pr.S = *probe
-				stored = &pr.R
-			}
-			h.arena.atIntoMeta(hits[k].off, hits[k].meta, stored)
-			if !plainEqui && !p.Matches(pr.R, pr.S) {
-				buf = buf[:n]
-			}
-		}
-		i = j
-	}
-	*out = buf
-}
-
-// putHits retires the gather scratch, capping the retained capacity.
-func (h *HashIndex) putHits(hits []probeHit) {
-	if cap(hits) > maxHitsCap {
-		hits = nil
-	}
-	h.hits = hits[:0]
-}
-
 // Probe enumerates stored tuples with key equal to the probe's key, in
 // per-key insertion order.
 func (h *HashIndex) Probe(probe Tuple, fn func(Tuple)) {
@@ -570,8 +487,15 @@ func (h *HashIndex) ProbeBatchCollect(ps []Tuple, rel matrix.Side, p Predicate, 
 			hits = h.gather(s, int32(i), hits)
 		}
 	}
-	h.materialize(ps, hits, rel, p, out)
-	h.putHits(hits)
+	h.collect(ps, hits, rel, p, out)
+}
+
+// collect materializes a run's gathered hits into *out and retires the
+// gather scratch. The directory guarantees equal keys, so a
+// residual-free equi predicate leaves only the dummy flags to check.
+func (h *HashIndex) collect(ps []Tuple, hits []probeHit, rel matrix.Side, p Predicate, out *[]Pair) {
+	h.arena.materialize(ps, hits, rel, p, p.Kind == Equi && p.Residual == nil, out)
+	h.hits = recycleHits(hits)
 }
 
 // Len returns the number of stored tuples.

@@ -101,8 +101,7 @@ func (l *Local) AddBatchCollect(ts []Tuple, out *[]Pair) {
 	// The gathered offsets point into the opposite side's arena, which
 	// the inserts above never touch, so materialization can run after
 	// the whole run is stored.
-	ph.materialize(ts, hits, ts[0].Rel, l.pred, out)
-	ph.putHits(hits)
+	ph.collect(ts, hits, ts[0].Rel, l.pred, out)
 }
 
 // Reserve passes per-side expected-cardinality hints through to the
